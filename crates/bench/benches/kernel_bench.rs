@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsm_net::{
-    AppHandle, CostModel, Ctx, Dur, KindId, NodeBehavior, NodeId, OpOutcome, Payload, Sim,
+    AppHandle, CostModel, Ctx, Dur, Kind, KindId, NodeBehavior, NodeId, OpOutcome, Payload, Sim,
 };
 use dsm_sync::{BarrierKind, LockKind, SyncNode, SyncOp};
 use std::hint::black_box;
@@ -18,11 +18,11 @@ impl Payload for M {
     fn wire_bytes(&self) -> usize {
         8
     }
-    fn kind(&self) -> &'static str {
-        "pp"
-    }
-    fn kind_id(&self) -> KindId {
-        KindId(42)
+    fn kind(&self) -> Kind {
+        Kind {
+            id: KindId(42),
+            name: "pp",
+        }
     }
 }
 struct PingNode;

@@ -1117,30 +1117,15 @@ fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::Payload;
 
-    /// A trivial ping-pong behavior: node 0's program sends a ping op;
-    /// the behavior forwards it to node 1, whose handler pongs back.
-    #[derive(Clone)]
-    enum PingMsg {
-        Ping,
-        Pong,
-    }
-    impl Payload for PingMsg {
-        fn wire_bytes(&self) -> usize {
-            8
-        }
-        fn kind(&self) -> &'static str {
-            match self {
-                PingMsg::Ping => "Ping",
-                PingMsg::Pong => "Pong",
-            }
-        }
-        fn kind_id(&self) -> crate::stats::KindId {
-            match self {
-                PingMsg::Ping => crate::stats::KindId(40),
-                PingMsg::Pong => crate::stats::KindId(41),
-            }
+    crate::wire_enum! {
+        /// A trivial ping-pong behavior: node 0's program sends a ping
+        /// op; the behavior forwards it to node 1, whose handler pongs
+        /// back.
+        #[derive(Clone)]
+        enum PingMsg: Payload {
+            Ping = 40 => 8,
+            Pong = 41 => 8,
         }
     }
 

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use crate::model::{CostModel, FaultPlan};
 use crate::msg::{NodeId, Payload};
 use crate::rng::XorShift64;
-use crate::stats::{KindId, NetStats};
+use crate::stats::{Kind, NetStats};
 use crate::time::{Dur, SimTime};
 use crate::transport::{Ctx, Transport};
 
@@ -879,7 +879,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
 
     fn send_inner(&mut self, src: NodeId, dst: NodeId, msg: N::Msg, extra: Dur) {
         let bytes = msg.wire_bytes();
-        self.stats.record(msg.kind_id(), msg.kind(), bytes);
+        self.stats.record(msg.kind(), bytes);
         // Sender side: the message queues behind whatever this node is
         // already transmitting.
         let total_bytes = (bytes + self.model.header_bytes) as u64;
@@ -913,11 +913,11 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         if self.faults_on && src != dst {
             let link = self.link(src, dst);
             if self.fault_draw(link) < self.drop_thr {
-                self.stats.record_dropped(msg.kind_id(), msg.kind());
+                self.stats.record_dropped(msg.kind());
                 return;
             }
             if self.fault_draw(link) < self.dup_thr {
-                self.stats.record_duplicated(msg.kind_id(), msg.kind());
+                self.stats.record_duplicated(msg.kind());
                 let copy = msg.clone();
                 self.stage_copy(depart_end, src, dst, copy);
             }
@@ -972,7 +972,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// deterministically and without PRNG draws, like `send_inner`.
     fn send_one_sided_native(&mut self, src: NodeId, dst: NodeId, msg: N::Msg) {
         let bytes = msg.wire_bytes();
-        self.stats.record(msg.kind_id(), msg.kind(), bytes);
+        self.stats.record(msg.kind(), bytes);
         let total_bytes = (bytes + self.model.header_bytes) as u64;
         let tx = self.model.one_sided_occupancy + self.model.one_sided_byte_cost(total_bytes);
         let s = self.li(src);
@@ -1058,12 +1058,8 @@ impl<N: NodeBehavior + ?Sized> Transport<N::Msg, N::Reply> for Kernel<N> {
         self.schedule(at, Event::Timer { node, token });
     }
 
-    fn account(&mut self, id: KindId, kind: &'static str, bytes: usize) {
-        self.stats.record(id, kind, bytes);
-    }
-
-    fn note_retransmit(&mut self, id: KindId, kind: &'static str) {
-        self.stats.record_retransmit(id, kind);
+    fn note_retransmit(&mut self, kind: Kind) {
+        self.stats.record_retransmit(kind);
     }
 }
 

@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use dsm_net::{
-//!     AppHandle, CostModel, Ctx, Dur, KindId, NodeBehavior, NodeId, OpOutcome, Payload, Sim,
+//!     AppHandle, CostModel, Ctx, Dur, Kind, KindId, NodeBehavior, NodeId, OpOutcome, Payload, Sim,
 //! };
 //!
 //! // A one-message "protocol": ops are added remotely by node 0.
@@ -27,8 +27,7 @@
 //! enum M { Add(u64), Ack }
 //! impl Payload for M {
 //!     fn wire_bytes(&self) -> usize { 8 }
-//!     fn kind(&self) -> &'static str { "Add" }
-//!     fn kind_id(&self) -> KindId { KindId(40) }
+//!     fn kind(&self) -> Kind { Kind { id: KindId(40), name: "Add" } }
 //! }
 //! #[derive(Default)]
 //! struct Adder { total: u64 }
@@ -73,7 +72,7 @@ pub use msg::{Envelope, NodeId, Payload};
 pub use reliable::{wrap_fleet, RelConfig, RelMsg, Reliable, REL_TIMER_BIT};
 pub use rng::XorShift64;
 pub use rt::{SocketCore, SocketRt};
-pub use stats::{KindId, KindStats, NetStats, MAX_KINDS};
+pub use stats::{Kind, KindId, KindStats, NetStats, MAX_KINDS};
 pub use time::{Dur, SimTime};
 pub use transport::{Ctx, Transport};
 pub use wire::{from_wire_bytes, to_wire_bytes, Wire, WireReader};

@@ -1,6 +1,6 @@
 //! Node identity and message payload abstractions.
 
-use crate::stats::KindId;
+use crate::stats::Kind;
 use std::fmt;
 
 /// Identity of a simulated node (processor). Dense, starting at 0.
@@ -23,9 +23,9 @@ impl fmt::Display for NodeId {
 /// A message payload that the network can cost and account for.
 ///
 /// `wire_bytes` is the modeled on-the-wire size (headers excluded; the
-/// cost model adds a fixed per-message header). `kind` is a short label
-/// used to aggregate traffic statistics per message class, e.g.
-/// `"ReadReq"` or `"Diff"`.
+/// cost model adds a fixed per-message header). `kind` names the
+/// message class traffic statistics aggregate under, e.g. `"ReadReq"`,
+/// together with its fixed statistics slot.
 ///
 /// `Clone` is required so the network can duplicate a message in flight
 /// (fault injection) and the reliable transport can buffer a copy for
@@ -34,15 +34,11 @@ pub trait Payload: Send + Clone + 'static {
     /// Modeled body size in bytes.
     fn wire_bytes(&self) -> usize;
 
-    /// Statistics bucket for this message.
-    fn kind(&self) -> &'static str;
-
-    /// Fixed statistics slot for this message class; must be below
-    /// [`crate::stats::MAX_KINDS`] and in one-to-one correspondence
-    /// with [`Payload::kind`]. Id ranges are assigned per layer:
-    /// coherence 0–31, synchronization 32–39, scratch/test 40–47,
-    /// reliable transport 48–55.
-    fn kind_id(&self) -> KindId;
+    /// Statistics class of this message. The id must be below
+    /// [`crate::stats::MAX_KINDS`]; ranges are assigned per layer (see
+    /// [`crate::stats::MAX_KINDS`]). Enums declared with
+    /// [`crate::wire_enum!`] get id and name from their table.
+    fn kind(&self) -> Kind;
 }
 
 /// A payload in flight from `src` to `dst`.

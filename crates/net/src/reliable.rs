@@ -80,7 +80,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::kernel::{FaultNotice, NodeBehavior, OpOutcome};
 use crate::model::CostModel;
 use crate::msg::{NodeId, Payload};
-use crate::stats::KindId;
+use crate::stats::{Kind, KindId};
 use crate::time::{Dur, SimTime};
 use crate::transport::{Ctx, Transport};
 use crate::wire::{Wire, WireReader};
@@ -97,8 +97,11 @@ const REL_HEADER_BYTES: usize = 32;
 /// epoch).
 const ACK_BYTES: usize = 24;
 
-/// Statistics slot for standalone acks (transport range 48–55).
-const ACK_KIND: KindId = KindId(48);
+/// Statistics class of standalone acks (transport range 48–55).
+const ACK_KIND: Kind = Kind {
+    id: KindId(48),
+    name: "RelAck",
+};
 
 /// Lower clamp for the adaptive RTO: below this, scheduling granularity
 /// and piggyback timing dominate and spurious retransmits climb without
@@ -134,19 +137,12 @@ impl<M: Payload> Payload for RelMsg<M> {
         }
     }
 
-    fn kind(&self) -> &'static str {
+    fn kind(&self) -> Kind {
         // Data frames keep the inner kind so traffic tables stay
         // comparable with unwrapped runs; only standalone acks show up
         // as a new class.
         match self {
             RelMsg::Data { payload, .. } => payload.kind(),
-            RelMsg::Ack { .. } => "RelAck",
-        }
-    }
-
-    fn kind_id(&self) -> KindId {
-        match self {
-            RelMsg::Data { payload, .. } => payload.kind_id(),
             RelMsg::Ack { .. } => ACK_KIND,
         }
     }
@@ -745,7 +741,7 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
             self.suspects.insert(peer as u32);
         }
         for (seq, payload) in frames {
-            ctx.port.note_retransmit(payload.kind_id(), payload.kind());
+            ctx.port.note_retransmit(payload.kind());
             ctx.port.send_from(
                 me,
                 NodeId(peer as u32),
@@ -966,12 +962,8 @@ impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
         self.outer.set_timer_on(node, delay, token);
     }
 
-    fn account(&mut self, id: KindId, kind: &'static str, bytes: usize) {
-        self.outer.account(id, kind, bytes);
-    }
-
-    fn note_retransmit(&mut self, id: KindId, kind: &'static str) {
-        self.outer.note_retransmit(id, kind);
+    fn note_retransmit(&mut self, kind: Kind) {
+        self.outer.note_retransmit(kind);
     }
 
     fn is_suspect(&self, node: NodeId) -> bool {
@@ -997,33 +989,19 @@ mod tests {
     use crate::model::CostModel;
     use crate::model::FaultPlan;
 
-    /// Node 0 is an accumulating server; other nodes submit `Add(x)`
-    /// ops that must each be applied exactly once, in submission order
-    /// per client. The server keeps one running total *per client* and
-    /// echoes it, so each client's reply sequence is its own prefix
-    /// sums — independent of cross-client interleaving (which faults
-    /// may legally perturb) but sensitive to any loss (missing add),
-    /// duplication (double add), or per-link reorder on its own link.
-    #[derive(Clone)]
-    enum AddMsg {
-        Add(u64),
-        Total(u64),
-    }
-    impl Payload for AddMsg {
-        fn wire_bytes(&self) -> usize {
-            8
-        }
-        fn kind(&self) -> &'static str {
-            match self {
-                AddMsg::Add(_) => "Add",
-                AddMsg::Total(_) => "Total",
-            }
-        }
-        fn kind_id(&self) -> KindId {
-            match self {
-                AddMsg::Add(_) => KindId(40),
-                AddMsg::Total(_) => KindId(41),
-            }
+    crate::wire_enum! {
+        /// Node 0 is an accumulating server; other nodes submit
+        /// `Add(x)` ops that must each be applied exactly once, in
+        /// submission order per client. The server keeps one running
+        /// total *per client* and echoes it, so each client's reply
+        /// sequence is its own prefix sums — independent of
+        /// cross-client interleaving (which faults may legally perturb)
+        /// but sensitive to any loss (missing add), duplication (double
+        /// add), or per-link reorder on its own link.
+        #[derive(Clone)]
+        enum AddMsg: Payload {
+            Add(x: u64) = 40 => 8,
+            Total(x: u64) = 41 => 8,
         }
     }
 
@@ -1206,11 +1184,11 @@ mod tests {
             fn wire_bytes(&self) -> usize {
                 0
             }
-            fn kind(&self) -> &'static str {
-                "NoMsg"
-            }
-            fn kind_id(&self) -> KindId {
-                KindId(42)
+            fn kind(&self) -> Kind {
+                Kind {
+                    id: KindId(42),
+                    name: "NoMsg",
+                }
             }
         }
         struct TimerNode {

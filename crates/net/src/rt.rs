@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use crate::kernel::{NodeBehavior, OpOutcome};
 use crate::model::CostModel;
 use crate::msg::{NodeId, Payload};
-use crate::stats::{KindId, NetStats};
+use crate::stats::{Kind, NetStats};
 use crate::time::{Dur, SimTime};
 use crate::transport::{Ctx, Transport};
 use crate::wire::{from_wire_bytes, Wire};
@@ -104,7 +104,7 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
         // Stats record the *modeled* wire size (header_bytes + payload),
         // keeping traffic tables comparable with simulator runs.
         let bytes = msg.wire_bytes() + self.model.header_bytes;
-        self.stats.record(msg.kind_id(), msg.kind(), bytes);
+        self.stats.record(msg.kind(), bytes);
         if dst == src {
             self.loopback.push_back(msg);
             return;
@@ -116,7 +116,7 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
         // ICMP refusal while a peer is still booting) is just loss, and
         // the reliability layer above retransmits.
         if self.sock.send_to(&buf, self.peers[dst.index()]).is_err() {
-            self.stats.record_dropped(msg.kind_id(), msg.kind());
+            self.stats.record_dropped(msg.kind());
         }
     }
 
@@ -141,12 +141,8 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
             .push(Reverse((self.now_nanos() + delay.as_nanos(), token)));
     }
 
-    fn account(&mut self, id: KindId, kind: &'static str, bytes: usize) {
-        self.stats.record(id, kind, bytes);
-    }
-
-    fn note_retransmit(&mut self, id: KindId, kind: &'static str) {
-        self.stats.record_retransmit(id, kind);
+    fn note_retransmit(&mut self, kind: Kind) {
+        self.stats.record_retransmit(kind);
     }
 }
 
@@ -358,50 +354,15 @@ mod tests {
     use super::*;
     use crate::reliable::{RelConfig, Reliable};
 
-    /// Two `SocketRt`s in one test process, stepped by two threads,
-    /// running the reliable transport end-to-end over real localhost
-    /// UDP: node 1 sends increments, node 0 accumulates and echoes.
-    #[derive(Debug, Clone, PartialEq)]
-    enum EchoMsg {
-        Add(u64),
-        Total(u64),
-    }
-    impl Payload for EchoMsg {
-        fn wire_bytes(&self) -> usize {
-            8
-        }
-        fn kind(&self) -> &'static str {
-            match self {
-                EchoMsg::Add(_) => "Add",
-                EchoMsg::Total(_) => "Total",
-            }
-        }
-        fn kind_id(&self) -> KindId {
-            match self {
-                EchoMsg::Add(_) => KindId(40),
-                EchoMsg::Total(_) => KindId(41),
-            }
-        }
-    }
-    impl Wire for EchoMsg {
-        fn encode(&self, out: &mut Vec<u8>) {
-            match self {
-                EchoMsg::Add(x) => {
-                    out.push(0);
-                    x.encode(out);
-                }
-                EchoMsg::Total(x) => {
-                    out.push(1);
-                    x.encode(out);
-                }
-            }
-        }
-        fn decode(r: &mut crate::wire::WireReader<'_>) -> Option<Self> {
-            match r.u8()? {
-                0 => Some(EchoMsg::Add(r.u64()?)),
-                1 => Some(EchoMsg::Total(r.u64()?)),
-                _ => None,
-            }
+    crate::wire_enum! {
+        /// Two `SocketRt`s in one test process, stepped by two threads,
+        /// running the reliable transport end-to-end over real
+        /// localhost UDP: node 1 sends increments, node 0 accumulates
+        /// and echoes.
+        #[derive(Debug, Clone, PartialEq)]
+        enum EchoMsg: Payload {
+            Add(x: u64) = 40 => 8,
+            Total(x: u64) = 41 => 8,
         }
     }
 
@@ -487,11 +448,11 @@ mod tests {
             fn wire_bytes(&self) -> usize {
                 0
             }
-            fn kind(&self) -> &'static str {
-                "NoMsg"
-            }
-            fn kind_id(&self) -> KindId {
-                KindId(42)
+            fn kind(&self) -> Kind {
+                Kind {
+                    id: crate::KindId(42),
+                    name: "NoMsg",
+                }
             }
         }
         impl Wire for NoMsg {

@@ -2,18 +2,19 @@
 //! kind; experiment harnesses print these tables directly.
 //!
 //! Recording is on the per-message hot path, so buckets live in a
-//! fixed-size array indexed by a small per-kind id supplied by the
-//! payload ([`crate::Payload::kind_id`]) — no map lookup per record.
+//! fixed-size array indexed by the small per-kind id the payload
+//! supplies ([`crate::Payload::kind`]) — no map lookup per record.
 //! Iteration stays in deterministic (alphabetical) name order so
 //! experiment tables are unchanged.
 
 use std::fmt;
 
 /// Number of statistics slots. Kind ids are assigned statically per
-/// layer: coherence protocols use 0–31, synchronization 32–39,
-/// scratch/test payloads 40–47, the reliable transport 48–55, the
-/// one-sided rdma protocol 56–59, and object-granularity sharing
-/// 60–62.
+/// layer, and message tables double them as wire tags: coherence
+/// protocols use 0–31, synchronization 32–37 (band up to 39),
+/// scratch/test payloads 40–47, the reliable transport's standalone
+/// ack 48 (band up to 55), the one-sided rdma protocol 56–59, and
+/// object-granularity sharing 60–62.
 pub const MAX_KINDS: usize = 64;
 
 /// Index of a message class in the fixed statistics table.
@@ -24,6 +25,22 @@ impl KindId {
     #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// A message class: its statistics slot and its name in traffic
+/// tables. The two always travel together; `wire_roundtrip.rs` in
+/// dsm-proto checks that the DSM's ids and names are one-to-one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kind {
+    pub id: KindId,
+    pub name: &'static str,
+}
+
+/// A kind prints as its name.
+impl fmt::Display for Kind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)
     }
 }
 
@@ -81,52 +98,41 @@ impl NetStats {
         Self::default()
     }
 
-    /// Record one message of class (`id`, `kind`) with `bytes` of
-    /// modeled body. O(1): a single array index.
+    /// Record one message of class `kind` with `bytes` of modeled body.
+    /// O(1): a single array index.
     #[inline]
-    pub fn record(&mut self, id: KindId, kind: &'static str, bytes: usize) {
-        let i = self.bind_name(id, kind);
-        let k = &mut self.counts[i];
+    pub fn record(&mut self, kind: Kind, bytes: usize) {
+        let k = &mut self.counts[self.bind(kind)];
         k.count += 1;
         k.bytes += bytes as u64;
     }
 
-    /// Bind `id` to `kind`, checking the one-to-one id↔name mapping.
+    /// Bind `kind`'s slot to its name; returns the slot.
     #[inline]
-    fn bind_name(&mut self, id: KindId, kind: &'static str) -> usize {
-        let i = id.index();
-        debug_assert!(
-            self.names[i].is_none_or(|n| n == kind),
-            "kind id {} reused: {} vs {}",
-            i,
-            self.names[i].unwrap_or(""),
-            kind
-        );
-        self.names[i] = Some(kind);
+    fn bind(&mut self, kind: Kind) -> usize {
+        let i = kind.id.index();
+        self.names[i] = Some(kind.name);
         i
     }
 
-    /// Record one message of class (`id`, `kind`) lost by the network.
+    /// Record one message of class `kind` lost by the network.
     #[inline]
-    pub fn record_dropped(&mut self, id: KindId, kind: &'static str) {
-        let i = self.bind_name(id, kind);
-        self.dropped[i] += 1;
+    pub fn record_dropped(&mut self, kind: Kind) {
+        self.dropped[self.bind(kind)] += 1;
     }
 
-    /// Record one message of class (`id`, `kind`) duplicated in flight.
+    /// Record one message of class `kind` duplicated in flight.
     #[inline]
-    pub fn record_duplicated(&mut self, id: KindId, kind: &'static str) {
-        let i = self.bind_name(id, kind);
-        self.duplicated[i] += 1;
+    pub fn record_duplicated(&mut self, kind: Kind) {
+        self.duplicated[self.bind(kind)] += 1;
     }
 
-    /// Record one retransmission of class (`id`, `kind`) by the
-    /// reliable transport (the resent copy is also recorded as a normal
-    /// send when it hits the wire).
+    /// Record one retransmission of class `kind` by the reliable
+    /// transport (the resent copy is also recorded as a normal send
+    /// when it hits the wire).
     #[inline]
-    pub fn record_retransmit(&mut self, id: KindId, kind: &'static str) {
-        let i = self.bind_name(id, kind);
-        self.retransmits[i] += 1;
+    pub fn record_retransmit(&mut self, kind: Kind) {
+        self.retransmits[self.bind(kind)] += 1;
     }
 
     /// Total messages across all classes.
@@ -293,17 +299,24 @@ impl fmt::Display for NetStats {
 mod tests {
     use super::*;
 
-    const READ_REQ: KindId = KindId(0);
-    const PAGE: KindId = KindId(1);
-    const X: KindId = KindId(40);
-    const Y: KindId = KindId(41);
+    const fn kind(id: u8, name: &'static str) -> Kind {
+        Kind {
+            id: KindId(id),
+            name,
+        }
+    }
+
+    const READ_REQ: Kind = kind(0, "ReadReq");
+    const PAGE: Kind = kind(1, "Page");
+    const X: Kind = kind(40, "X");
+    const Y: Kind = kind(41, "Y");
 
     #[test]
     fn record_and_totals() {
         let mut s = NetStats::new();
-        s.record(READ_REQ, "ReadReq", 8);
-        s.record(READ_REQ, "ReadReq", 8);
-        s.record(PAGE, "Page", 4096);
+        s.record(READ_REQ, 8);
+        s.record(READ_REQ, 8);
+        s.record(PAGE, 4096);
         assert_eq!(
             s.kind("ReadReq"),
             KindStats {
@@ -319,10 +332,10 @@ mod tests {
     #[test]
     fn merge_adds() {
         let mut a = NetStats::new();
-        a.record(X, "X", 1);
+        a.record(X, 1);
         let mut b = NetStats::new();
-        b.record(X, "X", 2);
-        b.record(Y, "Y", 3);
+        b.record(X, 2);
+        b.record(Y, 3);
         a.merge(&b);
         assert_eq!(a.kind("X"), KindStats { count: 2, bytes: 3 });
         assert_eq!(a.kind("Y"), KindStats { count: 1, bytes: 3 });
@@ -331,7 +344,7 @@ mod tests {
     #[test]
     fn display_is_table() {
         let mut s = NetStats::new();
-        s.record(X, "A", 10);
+        s.record(kind(40, "A"), 10);
         let text = format!("{}", s);
         assert!(text.contains("TOTAL"));
         assert!(text.contains("A"));
@@ -340,8 +353,8 @@ mod tests {
     #[test]
     fn iter_is_alphabetical_regardless_of_id_order() {
         let mut s = NetStats::new();
-        s.record(Y, "Alpha", 1);
-        s.record(X, "Beta", 2);
+        s.record(kind(41, "Alpha"), 1);
+        s.record(kind(40, "Beta"), 2);
         let order: Vec<&str> = s.iter().map(|(n, _)| n).collect();
         assert_eq!(order, vec!["Alpha", "Beta"]);
     }
@@ -349,15 +362,15 @@ mod tests {
     #[test]
     fn fault_counters_record_and_merge() {
         let mut a = NetStats::new();
-        a.record(X, "X", 8);
-        a.record_dropped(X, "X");
-        a.record_duplicated(X, "X");
-        a.record_retransmit(X, "X");
-        a.record_retransmit(X, "X");
+        a.record(X, 8);
+        a.record_dropped(X);
+        a.record_duplicated(X);
+        a.record_retransmit(X);
+        a.record_retransmit(X);
         assert_eq!(a.kind_faults("X"), (1, 1, 2));
         assert_eq!(a.kind_faults("absent"), (0, 0, 0));
         let mut b = NetStats::new();
-        b.record_dropped(X, "X");
+        b.record_dropped(X);
         a.merge(&b);
         assert_eq!(a.total_dropped(), 2);
         assert_eq!(a.total_duplicated(), 1);
@@ -367,9 +380,9 @@ mod tests {
     #[test]
     fn fault_counters_show_in_display_only_when_present() {
         let mut s = NetStats::new();
-        s.record(X, "X", 8);
+        s.record(X, 8);
         assert!(!format!("{s}").contains("rexmit"));
-        s.record_dropped(X, "X");
+        s.record_dropped(X);
         let text = format!("{s}");
         assert!(text.contains("dropped"));
         assert!(text.contains("rexmit"));
@@ -378,20 +391,20 @@ mod tests {
     #[test]
     fn fault_counters_affect_equality() {
         let mut a = NetStats::new();
-        a.record(X, "X", 1);
+        a.record(X, 1);
         let mut b = a.clone();
         assert_eq!(a, b);
-        b.record_dropped(X, "X");
+        b.record_dropped(X);
         assert_ne!(a, b);
     }
 
     #[test]
     fn equality_detects_differences() {
         let mut a = NetStats::new();
-        a.record(X, "X", 1);
+        a.record(X, 1);
         let mut b = a.clone();
         assert_eq!(a, b);
-        b.record(X, "X", 1);
+        b.record(X, 1);
         assert_ne!(a, b);
     }
 }

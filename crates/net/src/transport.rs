@@ -23,7 +23,7 @@
 use crate::kernel::NodeBehavior;
 use crate::model::CostModel;
 use crate::msg::NodeId;
-use crate::stats::KindId;
+use crate::stats::Kind;
 use crate::time::{Dur, SimTime};
 
 /// Everything a handler's [`Ctx`] may ask of the world, factored as an
@@ -63,10 +63,8 @@ pub trait Transport<M, R> {
     fn op_parked(&self, node: NodeId) -> bool;
     /// Arrange for `on_timer(token)` on `node` after `delay`.
     fn set_timer_on(&mut self, node: NodeId, delay: Dur, token: u64);
-    /// Record a pseudo message in the traffic stats without sending.
-    fn account(&mut self, id: KindId, kind: &'static str, bytes: usize);
     /// Count a retransmission in the traffic stats.
-    fn note_retransmit(&mut self, id: KindId, kind: &'static str);
+    fn note_retransmit(&mut self, kind: Kind);
     /// True if the transport's failure detector currently suspects
     /// `node` (consecutive ack timeouts). The bare kernel has no
     /// detector; the reliable transport overrides this.
@@ -148,12 +146,6 @@ impl<'a, N: NodeBehavior + ?Sized> Ctx<'a, N> {
     /// Arrange for `on_timer(token)` on this node after `delay`.
     pub fn set_timer(&mut self, delay: Dur, token: u64) {
         self.port.set_timer_on(self.node, delay, token);
-    }
-
-    /// Record a pseudo message in the traffic stats without sending
-    /// anything (used to account for piggybacked payloads).
-    pub fn account(&mut self, id: KindId, kind: &'static str, bytes: usize) {
-        self.port.account(id, kind, bytes);
     }
 
     /// True if the transport's failure detector currently suspects

@@ -44,6 +44,12 @@ impl<'a> WireReader<'a> {
         self.take(1).map(|b| b[0])
     }
 
+    /// The next byte, without consuming it (dispatch on a tag that the
+    /// chosen decoder reads again).
+    pub fn peek_u8(&self) -> Option<u8> {
+        self.buf.get(self.pos).copied()
+    }
+
     pub fn u16(&mut self) -> Option<u16> {
         self.take(2)
             .map(|b| u16::from_le_bytes(b.try_into().unwrap()))
@@ -98,6 +104,15 @@ pub fn from_wire_bytes<T: Wire>(buf: &[u8]) -> Option<T> {
 }
 
 // ---------------- primitive impls ----------------
+
+/// The empty payload (sync messages without a consistency piggyback)
+/// encodes to nothing.
+impl Wire for () {
+    fn encode(&self, _out: &mut Vec<u8>) {}
+    fn decode(_r: &mut WireReader<'_>) -> Option<Self> {
+        Some(())
+    }
+}
 
 impl Wire for u8 {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -221,6 +236,15 @@ impl Wire for Box<[u8]> {
     }
 }
 
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        T::decode(r).map(Box::new)
+    }
+}
+
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -259,6 +283,139 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         Some((A::decode(r)?, B::decode(r)?, C::decode(r)?))
     }
+}
+
+// ---------------- message tables ----------------
+
+/// Declare a wire message enum from one table. Each row is one variant:
+/// its fields, its kind id and its modeled body size.
+///
+/// ```
+/// use dsm_net::Wire;
+///
+/// dsm_net::wire_enum! {
+///     #[derive(Debug, Clone, PartialEq)]
+///     pub enum Msg<P: Clone + Wire> {
+///         /// Struct variant; the size expression reads its fields.
+///         Req { page: usize, extra: P } = 40 => 8,
+///         /// Tuple variant: fields are named in the row only.
+///         Data(bytes: Box<[u8]>) = 41 => 4 + bytes.len(),
+///         Done = 42 => 0,
+///     }
+/// }
+///
+/// let m: Msg<u8> = Msg::Data(vec![1, 2].into_boxed_slice());
+/// assert_eq!((m.kind().id.0, m.kind().name, m.wire_bytes()), (41, "Data", 6));
+/// assert_eq!(dsm_net::to_wire_bytes(&m), [41, 2, 0, 0, 0, 1, 2]);
+/// assert_eq!(dsm_net::from_wire_bytes(&dsm_net::to_wire_bytes(&m)), Some(m));
+/// assert_eq!(Msg::<u8>::KINDS.len(), 3);
+/// ```
+///
+/// The table generates the enum and
+/// * `KINDS`: every variant's [`crate::Kind`] in table order;
+/// * `kind()`: the variant's id, named after the variant;
+/// * `wire_bytes()`: the row's size expression;
+/// * [`Wire`]: the kind id is the one-byte tag, then the fields in
+///   table order.
+///
+/// Generic parameters carry their bounds (simple trait names) inline;
+/// every generated impl except `KINDS`/`kind()` gets them, and the enum
+/// itself gets none. An enum declared `pub enum Name: Payload { .. }`
+/// also implements [`crate::Payload`] with the generated `kind` and
+/// `wire_bytes`.
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident $(<$($g:ident: $b0:ident $(+ $bn:ident)*),+>)? : Payload {
+            $($rows:tt)*
+        }
+    ) => {
+        $crate::wire_enum! {
+            $(#[$meta])*
+            $vis enum $name $(<$($g: $b0 $(+ $bn)*),+>)? { $($rows)* }
+        }
+
+        impl<$($($g: $b0 $(+ $bn)*),+)?> $crate::Payload for $name<$($($g),+)?> {
+            fn wire_bytes(&self) -> usize {
+                Self::wire_bytes(self)
+            }
+            fn kind(&self) -> $crate::Kind {
+                Self::kind(self)
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident $(<$($g:ident: $b0:ident $(+ $bn:ident)*),+>)? {
+            $(
+                $(#[$vmeta:meta])*
+                $v:ident
+                $({ $($sf:ident: $st:ty),* $(,)? })?
+                $(( $($tf:ident: $tt:ty),* $(,)? ))?
+                = $id:literal => $size:expr
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name $(<$($g),+>)? {
+            $(
+                $(#[$vmeta])*
+                $v $({ $($sf: $st),* })? $(( $($tt),* ))?,
+            )*
+        }
+
+        #[allow(dead_code)]
+        impl<$($($g),+)?> $name<$($($g),+)?> {
+            /// Every variant's kind, in table order.
+            pub const KINDS: &'static [$crate::Kind] = &[
+                $($crate::Kind { id: $crate::KindId($id), name: stringify!($v) }),*
+            ];
+
+            /// This message's class: its kind id (also its wire tag)
+            /// and its variant name.
+            pub fn kind(&self) -> $crate::Kind {
+                match self {
+                    $(Self::$v { .. } => $crate::Kind {
+                        id: $crate::KindId($id),
+                        name: stringify!($v),
+                    },)*
+                }
+            }
+        }
+
+        #[allow(dead_code)]
+        impl<$($($g: $b0 $(+ $bn)*),+)?> $name<$($($g),+)?> {
+            /// Modeled body size in bytes.
+            #[allow(unused_variables)]
+            pub fn wire_bytes(&self) -> usize {
+                match self {
+                    $(Self::$v $({ $($sf),* })? $(( $($tf),* ))? => $size,)*
+                }
+            }
+        }
+
+        impl<$($($g: $b0 $(+ $bn)*),+)?> $crate::Wire for $name<$($($g),+)?> {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$v $({ $($sf),* })? $(( $($tf),* ))? => {
+                        out.push($id);
+                        $($($crate::Wire::encode($sf, out);)*)?
+                        $($($crate::Wire::encode($tf, out);)*)?
+                    })*
+                }
+            }
+
+            fn decode(r: &mut $crate::WireReader<'_>) -> Option<Self> {
+                Some(match r.u8()? {
+                    $($id => Self::$v
+                        $({ $($sf: <$st as $crate::Wire>::decode(r)?),* })?
+                        $(( $(<$tt as $crate::Wire>::decode(r)?),* ))?,)*
+                    _ => return None,
+                })
+            }
+        }
+    };
 }
 
 #[cfg(test)]

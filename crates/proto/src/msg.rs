@@ -5,837 +5,215 @@
 //! uniform across protocols.
 
 use dsm_mem::{IntervalId, NodeSet, PageDiff, VClockDelta, WireIntervalRecord};
-use dsm_net::{KindId, NodeId, Payload, Wire, WireReader};
+use dsm_net::{wire_enum, NodeId};
 use dsm_sync::SyncPiggy;
 
-/// Coherence protocol messages. Page ids travel as raw `usize`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProtoMsg {
-    // ---- IVY write-invalidate (all manager schemes) ----
-    /// Read fault: requester → manager (or probable-owner chain).
-    ReadReq {
-        page: usize,
-    },
-    /// Write fault: requester → manager (or probable-owner chain).
-    WriteReq {
-        page: usize,
-    },
-    /// Manager → owner: send a read copy to `requester`.
-    FwdRead {
-        page: usize,
-        requester: NodeId,
-    },
-    /// Manager → owner: transfer ownership to `requester`, who must
-    /// await `ninval` invalidation acks.
-    FwdWrite {
-        page: usize,
-        requester: NodeId,
-        ninval: u32,
-    },
-    /// Owner → requester: a read copy.
-    PageRead {
-        page: usize,
-        data: Box<[u8]>,
-    },
-    /// Owner → requester: ownership (+ data unless the requester
-    /// already holds a copy; + copyset under the dynamic scheme).
-    PageOwn {
-        page: usize,
-        data: Option<Box<[u8]>>,
-        ninval: u32,
-        copyset: Option<NodeSet>,
-    },
-    /// Invalidate your copy; `new_owner` is the probable-owner hint.
-    Inval {
-        page: usize,
-        new_owner: NodeId,
-    },
-    /// Copy invalidated (sent to the new owner / requester).
-    InvalAck {
-        page: usize,
-    },
-    /// Requester → manager: transaction complete; `owner` is the
-    /// resulting owner, `write` tells the manager how to update the
-    /// copyset.
-    Confirm {
-        page: usize,
-        owner: NodeId,
-        write: bool,
-    },
+wire_enum! {
+    /// Coherence protocol messages. Page ids travel as raw `usize`.
+    ///
+    /// One row per variant: fields, kind id (also the wire tag) and
+    /// modeled body size. Kind ids use the coherence band 0–31 plus the
+    /// one-sided rdma band 56–59 and the object band 60–62, so NIC-path
+    /// and object traffic stay distinguishable in reports.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ProtoMsg: Payload {
+        // ---- IVY write-invalidate (all manager schemes) ----
+        /// Read fault: requester → manager (or probable-owner chain).
+        ReadReq { page: usize } = 0 => 8,
+        /// Write fault: requester → manager (or probable-owner chain).
+        WriteReq { page: usize } = 1 => 8,
+        /// Manager → owner: send a read copy to `requester`.
+        FwdRead { page: usize, requester: NodeId } = 2 => 12,
+        /// Manager → owner: transfer ownership to `requester`, who must
+        /// await `ninval` invalidation acks.
+        FwdWrite { page: usize, requester: NodeId, ninval: u32 } = 3 => 16,
+        /// Owner → requester: a read copy.
+        PageRead { page: usize, data: Box<[u8]> } = 4 => 8 + data.len(),
+        /// Owner → requester: ownership (+ data unless the requester
+        /// already holds a copy; + copyset under the dynamic scheme).
+        PageOwn {
+            page: usize,
+            data: Option<Box<[u8]>>,
+            ninval: u32,
+            copyset: Option<NodeSet>,
+        } = 5 => {
+            16 + data.as_ref().map_or(0, |d| d.len())
+                + copyset.as_ref().map_or(0, |c| 8 + c.len() * 4)
+        },
+        /// Invalidate your copy; `new_owner` is the probable-owner hint.
+        Inval { page: usize, new_owner: NodeId } = 6 => 12,
+        /// Copy invalidated (sent to the new owner / requester).
+        InvalAck { page: usize } = 7 => 8,
+        /// Requester → manager: transaction complete; `owner` is the
+        /// resulting owner, `write` tells the manager how to update the
+        /// copyset.
+        Confirm { page: usize, owner: NodeId, write: bool } = 8 => 13,
 
-    // ---- page migration (single copy) ----
-    MigReq {
-        page: usize,
-    },
-    MigFwd {
-        page: usize,
-        requester: NodeId,
-    },
-    MigPage {
-        page: usize,
-        data: Box<[u8]>,
-    },
-    MigConfirm {
-        page: usize,
-        holder: NodeId,
-    },
+        // ---- page migration (single copy) ----
+        MigReq { page: usize } = 9 => 8,
+        MigFwd { page: usize, requester: NodeId } = 10 => 12,
+        MigPage { page: usize, data: Box<[u8]> } = 11 => 8 + data.len(),
+        MigConfirm { page: usize, holder: NodeId } = 12 => 8,
 
-    // ---- write-update (home-sequenced) ----
-    /// Writer → home: apply and multicast this write.
-    UpdWrite {
-        page: usize,
-        off: u32,
-        data: Box<[u8]>,
-    },
-    /// Home → copy holder: apply this write (per-page sequenced).
-    UpdApply {
-        page: usize,
-        off: u32,
-        data: Box<[u8]>,
-        seq: u64,
-    },
-    /// Home → writer: your write is globally ordered.
-    UpdAck {
-        page: usize,
-    },
-    /// Read miss: requester → home.
-    FetchReq {
-        page: usize,
-    },
-    /// Home → requester: current master copy. `seq` is the page's
-    /// current update sequence number (write-update protocol), letting
-    /// the new copy holder verify the per-page update stream stays
-    /// gapless from here on.
-    FetchRep {
-        page: usize,
-        data: Box<[u8]>,
-        seq: u64,
-    },
+        // ---- write-update (home-sequenced) ----
+        /// Writer → home: apply and multicast this write.
+        UpdWrite { page: usize, off: u32, data: Box<[u8]> } = 13 => 16 + data.len(),
+        /// Home → copy holder: apply this write (per-page sequenced).
+        UpdApply {
+            page: usize,
+            off: u32,
+            data: Box<[u8]>,
+            seq: u64,
+        } = 14 => 24 + data.len(),
+        /// Home → writer: your write is globally ordered.
+        UpdAck { page: usize } = 15 => 8,
+        /// Read miss: requester → home.
+        FetchReq { page: usize } = 16 => 8,
+        /// Home → requester: current master copy. `seq` is the page's
+        /// current update sequence number (write-update protocol),
+        /// letting the new copy holder verify the per-page update
+        /// stream stays gapless from here on.
+        FetchRep { page: usize, data: Box<[u8]>, seq: u64 } = 17 => 16 + data.len(),
 
-    // ---- eager release consistency (Munin write-shared) ----
-    /// Writer → home: diffs for pages homed there (one flush id per
-    /// release).
-    DiffFlush {
-        flush: u64,
-        diffs: Vec<(usize, PageDiff)>,
-    },
-    /// Home → copy holder: apply these diffs.
-    DiffApply {
-        flush: u64,
-        home: NodeId,
-        diffs: Vec<(usize, PageDiff)>,
-    },
-    /// Copy holder → home: diffs applied.
-    DiffApplyAck {
-        flush: u64,
-    },
-    /// Home → writer: all copies updated for your flush.
-    FlushAck {
-        flush: u64,
-    },
+        // ---- eager release consistency (Munin write-shared) ----
+        /// Writer → home: diffs for pages homed there (one flush id per
+        /// release).
+        DiffFlush {
+            flush: u64,
+            diffs: Vec<(usize, PageDiff)>,
+        } = 18 => 8 + diffs.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>(),
+        /// Home → copy holder: apply these diffs.
+        DiffApply {
+            flush: u64,
+            home: NodeId,
+            diffs: Vec<(usize, PageDiff)>,
+        } = 19 => 8 + diffs.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>(),
+        /// Copy holder → home: diffs applied.
+        DiffApplyAck { flush: u64 } = 20 => 8,
+        /// Home → writer: all copies updated for your flush.
+        FlushAck { flush: u64 } = 21 => 8,
 
-    // ---- lazy release consistency (TreadMarks) ----
-    /// Fetch the diffs of the given intervals for `page` from their
-    /// creator.
-    LrcDiffReq {
-        page: usize,
-        ids: Vec<IntervalId>,
-    },
-    LrcDiffRep {
-        page: usize,
-        diffs: Vec<(IntervalId, PageDiff)>,
-    },
-    /// Fetch a full current copy (first access / no base copy). Carries
-    /// the requester's GC epoch (barrier releases survived; always 0
-    /// without GC): a home that has not yet seen the release the
-    /// requester has must defer serving until its own release applies
-    /// the epoch's buffered flushes, or it would hand out pre-epoch
-    /// bytes. Modeled wire form packs page + epoch as two u32s.
-    LrcPageReq {
-        page: usize,
-        epoch: u64,
-    },
-    LrcPageRep {
-        page: usize,
-        data: Box<[u8]>,
-    },
-    /// Epoch flush (interval GC): writer → home, the departing epoch's
-    /// diffs for pages homed at the receiver, sent point-to-point
-    /// *before* the barrier arrival so bulk data never transits the
-    /// barrier root. The home buffers them unapplied — the causal
-    /// application order arrives with the barrier release.
-    LrcFlush {
-        diffs: Vec<(IntervalId, usize, PageDiff)>,
-    },
-    /// Home → writer: epoch flush received and buffered. The writer
-    /// arrives at the barrier only after all its flushes are acked,
-    /// which is what guarantees every home holds the epoch's diffs by
-    /// release time.
-    LrcFlushAck,
+        // ---- lazy release consistency (TreadMarks) ----
+        /// Fetch the diffs of the given intervals for `page` from their
+        /// creator.
+        LrcDiffReq { page: usize, ids: Vec<IntervalId> } = 22 => 8 + ids.len() * 8,
+        LrcDiffRep {
+            page: usize,
+            diffs: Vec<(IntervalId, PageDiff)>,
+        } = 23 => 8 + diffs.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>(),
+        /// Fetch a full current copy (first access / no base copy).
+        /// Carries the requester's GC epoch (barrier releases survived;
+        /// always 0 without GC): a home that has not yet seen the
+        /// release the requester has must defer serving until its own
+        /// release applies the epoch's buffered flushes, or it would
+        /// hand out pre-epoch bytes. Modeled wire form packs page +
+        /// epoch as two u32s.
+        LrcPageReq { page: usize, epoch: u64 } = 24 => 8,
+        LrcPageRep { page: usize, data: Box<[u8]> } = 25 => 8 + data.len(),
+        /// Epoch flush (interval GC): writer → home, the departing
+        /// epoch's diffs for pages homed at the receiver, sent
+        /// point-to-point *before* the barrier arrival so bulk data
+        /// never transits the barrier root. The home buffers them
+        /// unapplied — the causal application order arrives with the
+        /// barrier release.
+        LrcFlush {
+            diffs: Vec<(IntervalId, usize, PageDiff)>,
+        } = 27 => 8 + diffs.iter().map(|(_, _, d)| 12 + d.wire_bytes()).sum::<usize>(),
+        /// Home → writer: epoch flush received and buffered. The writer
+        /// arrives at the barrier only after all its flushes are acked,
+        /// which is what guarantees every home holds the epoch's diffs
+        /// by release time.
+        LrcFlushAck = 28 => 8,
 
-    // ---- SC-ABD quorum replication ----
-    /// Quorum query (phase 1 of both reads and writes): coordinator →
-    /// replica, asking for the replica's current tag (and bytes) for
-    /// `page`. `txn` matches replies to the issuing phase. A `page` of
-    /// `usize::MAX` is a recovery re-sync request: the replica answers
-    /// with one [`ProtoMsg::ScabdR`] per page it holds plus a
-    /// `usize::MAX` terminator.
-    ScabdQ {
-        page: usize,
-        txn: u64,
-    },
-    /// Quorum update (phase 2): coordinator → replica, store `data`
-    /// under tag `(seq, writer)` if that tag is newer than what the
-    /// replica holds. Read write-backs reuse the queried tag; writes
-    /// carry `(max_seq + 1, me)`.
-    ScabdU {
-        page: usize,
-        txn: u64,
-        seq: u64,
-        writer: u32,
-        data: Box<[u8]>,
-    },
-    /// Replica → coordinator reply. With `data` it answers a
-    /// [`ProtoMsg::ScabdQ`] (the replica's tag + bytes, `data` absent
-    /// when the replica holds no copy); without it under a phase-2
-    /// `txn` it acknowledges a [`ProtoMsg::ScabdU`].
-    ScabdR {
-        page: usize,
-        txn: u64,
-        seq: u64,
-        writer: u32,
-        data: Option<Box<[u8]>>,
-    },
+        // ---- SC-ABD quorum replication ----
+        /// Quorum query (phase 1 of both reads and writes): coordinator
+        /// → replica, asking for the replica's current tag (and bytes)
+        /// for `page`. `txn` matches replies to the issuing phase. A
+        /// `page` of `usize::MAX` is a recovery re-sync request: the
+        /// replica answers with one [`ProtoMsg::ScabdR`] per page it
+        /// holds plus a `usize::MAX` terminator.
+        ScabdQ { page: usize, txn: u64 } = 29 => 16,
+        /// Quorum update (phase 2): coordinator → replica, store `data`
+        /// under tag `(seq, writer)` if that tag is newer than what the
+        /// replica holds. Read write-backs reuse the queried tag; writes
+        /// carry `(max_seq + 1, me)`.
+        ScabdU {
+            page: usize,
+            txn: u64,
+            seq: u64,
+            writer: u32,
+            data: Box<[u8]>,
+        } = 30 => 28 + data.len(),
+        /// Replica → coordinator reply. With `data` it answers a
+        /// [`ProtoMsg::ScabdQ`] (the replica's tag + bytes, `data`
+        /// absent when the replica holds no copy); without it under a
+        /// phase-2 `txn` it acknowledges a [`ProtoMsg::ScabdU`].
+        ScabdR {
+            page: usize,
+            txn: u64,
+            seq: u64,
+            writer: u32,
+            data: Option<Box<[u8]>>,
+        } = 31 => 28 + data.as_ref().map_or(0, |d| d.len()),
 
-    // ---- one-sided rdma (home-based, NIC-served reads) ----
-    /// One-sided read doorbell: requester → home NIC, naming the pages
-    /// it wants (demand page first, prefetch candidates after). On
-    /// fabrics with one-sided support the home's NIC serves this
-    /// without scheduling its app or protocol thread; elsewhere it
-    /// arrives as an ordinary software message with identical reply
-    /// logic.
-    RdmaRead {
-        pages: Vec<usize>,
-    },
-    /// Home NIC → requester: per-page payloads. `None` is a NACK — the
-    /// page was checked out to a writer (or mid-invalidation) and the
-    /// requester must fall back to a two-sided [`ProtoMsg::ReadReq`].
-    RdmaData {
-        pages: Vec<(usize, Option<Box<[u8]>>)>,
-    },
-    /// Home → checked-out writer: write the master back and serve
-    /// `requester` directly (issued before any read service or write
-    /// grant). The writer ships the page straight to the requester — a
-    /// read copy ([`ProtoMsg::RdmaData`]) or ownership
-    /// ([`ProtoMsg::PageOwn`]) per `write` — while the writeback
-    /// travels to the home concurrently, removing the extra home hop
-    /// per contended handoff. A `requester` equal to the home itself
-    /// marks the legacy writeback-only recall (the home's own parked
-    /// op wants the page).
-    RdmaRecall {
-        page: usize,
-        requester: NodeId,
-        write: bool,
-    },
-    /// Writer → home: the recalled page's current bytes.
-    RdmaWriteBack {
-        page: usize,
-        data: Box<[u8]>,
-    },
+        // ---- one-sided rdma (home-based, NIC-served reads) ----
+        /// One-sided read doorbell: requester → home NIC, naming the
+        /// pages it wants (demand page first, prefetch candidates
+        /// after). On fabrics with one-sided support the home's NIC
+        /// serves this without scheduling its app or protocol thread;
+        /// elsewhere it arrives as an ordinary software message with
+        /// identical reply logic.
+        RdmaRead { pages: Vec<usize> } = 56 => 8 + pages.len() * 8,
+        /// Home NIC → requester: per-page payloads. `None` is a NACK —
+        /// the page was checked out to a writer (or mid-invalidation)
+        /// and the requester must fall back to a two-sided
+        /// [`ProtoMsg::ReadReq`].
+        RdmaData {
+            pages: Vec<(usize, Option<Box<[u8]>>)>,
+        } = 57 => {
+            8 + pages
+                .iter()
+                .map(|(_, d)| 12 + d.as_ref().map_or(0, |b| b.len()))
+                .sum::<usize>()
+        },
+        /// Home → checked-out writer: write the master back and serve
+        /// `requester` directly (issued before any read service or
+        /// write grant). The writer ships the page straight to the
+        /// requester — a read copy ([`ProtoMsg::RdmaData`]) or
+        /// ownership ([`ProtoMsg::PageOwn`]) per `write` — while the
+        /// writeback travels to the home concurrently, removing the
+        /// extra home hop per contended handoff. A `requester` equal to
+        /// the home itself marks the legacy writeback-only recall (the
+        /// home's own parked op wants the page).
+        RdmaRecall { page: usize, requester: NodeId, write: bool } = 58 => 13,
+        /// Writer → home: the recalled page's current bytes.
+        RdmaWriteBack { page: usize, data: Box<[u8]> } = 59 => 8 + data.len(),
 
-    // ---- object-granularity sharing (`obj` protocol) ----
-    /// Requester → object home: fetch `obj`; with `write`, take over
-    /// ownership (the single writable copy).
-    ObjReq {
-        obj: u32,
-        write: bool,
-    },
-    /// Home → presumed owner: serve `requester` directly. A node that
-    /// neither holds the object nor is about to own it bounces the
-    /// forward back to the home, which re-routes along the current
-    /// ownership chain.
-    ObjFwd {
-        obj: u32,
-        requester: NodeId,
-        write: bool,
-    },
-    /// Owner → requester: the object's bytes. With `write` this *is*
-    /// the ownership transfer — the sender forgets the object and
-    /// exactly one message moves exactly one object, no page
-    /// invalidation. Without it the bytes are a read-only replica the
-    /// receiver drops at its next synchronization entry.
-    ObjData {
-        obj: u32,
-        data: Box<[u8]>,
-        write: bool,
-    },
+        // ---- object-granularity sharing (`obj` protocol) ----
+        /// Requester → object home: fetch `obj`; with `write`, take
+        /// over ownership (the single writable copy).
+        ObjReq { obj: u32, write: bool } = 60 => 8,
+        /// Home → presumed owner: serve `requester` directly. A node
+        /// that neither holds the object nor is about to own it bounces
+        /// the forward back to the home, which re-routes along the
+        /// current ownership chain.
+        ObjFwd { obj: u32, requester: NodeId, write: bool } = 61 => 13,
+        /// Owner → requester: the object's bytes. With `write` this
+        /// *is* the ownership transfer — the sender forgets the object
+        /// and exactly one message moves exactly one object, no page
+        /// invalidation. Without it the bytes are a read-only replica
+        /// the receiver drops at its next synchronization entry.
+        ObjData { obj: u32, data: Box<[u8]>, write: bool } = 62 => 9 + data.len(),
 
-    // ---- multi-page envelope ----
-    /// Several coherence messages for the same destination in one
-    /// network message (batched fault pipeline). The envelope pays one
-    /// per-message software overhead + header where its contents would
-    /// have paid N; its body is priced as the sum of the inner bodies.
-    /// Only ever built with ≥ 2 inner messages — single messages travel
-    /// bare, so depth-1 runs are byte-identical to unbatched ones.
-    Batch(Vec<ProtoMsg>),
-}
-
-impl Payload for ProtoMsg {
-    fn wire_bytes(&self) -> usize {
-        use ProtoMsg::*;
-        match self {
-            ReadReq { .. }
-            | WriteReq { .. }
-            | MigReq { .. }
-            | FetchReq { .. }
-            | LrcPageReq { .. } => 8,
-            FwdRead { .. } | MigFwd { .. } => 12,
-            FwdWrite { .. } => 16,
-            PageRead { data, .. } | MigPage { data, .. } | LrcPageRep { data, .. } => {
-                8 + data.len()
-            }
-            FetchRep { data, .. } => 16 + data.len(),
-            PageOwn { data, copyset, .. } => {
-                16 + data.as_ref().map_or(0, |d| d.len())
-                    + copyset.as_ref().map_or(0, |c| 8 + c.len() * 4)
-            }
-            Inval { .. } => 12,
-            InvalAck { .. } | UpdAck { .. } | MigConfirm { .. } => 8,
-            Confirm { .. } => 13,
-            UpdWrite { data, .. } => 16 + data.len(),
-            UpdApply { data, .. } => 24 + data.len(),
-            DiffFlush { diffs, .. } | DiffApply { diffs, .. } => {
-                8 + diffs.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>()
-            }
-            DiffApplyAck { .. } | FlushAck { .. } => 8,
-            LrcDiffReq { ids, .. } => 8 + ids.len() * 8,
-            LrcDiffRep { diffs, .. } => {
-                8 + diffs.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>()
-            }
-            LrcFlush { diffs } => {
-                8 + diffs
-                    .iter()
-                    .map(|(_, _, d)| 12 + d.wire_bytes())
-                    .sum::<usize>()
-            }
-            LrcFlushAck => 8,
-            ScabdQ { .. } => 16,
-            ScabdU { data, .. } => 28 + data.len(),
-            ScabdR { data, .. } => 28 + data.as_ref().map_or(0, |d| d.len()),
-            RdmaRead { pages } => 8 + pages.len() * 8,
-            RdmaData { pages } => {
-                8 + pages
-                    .iter()
-                    .map(|(_, d)| 12 + d.as_ref().map_or(0, |b| b.len()))
-                    .sum::<usize>()
-            }
-            RdmaRecall { .. } => 13,
-            RdmaWriteBack { data, .. } => 8 + data.len(),
-            ObjReq { .. } => 8,
-            ObjFwd { .. } => 13,
-            ObjData { data, .. } => 9 + data.len(),
-            Batch(msgs) => msgs.iter().map(|m| m.wire_bytes()).sum(),
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        use ProtoMsg::*;
-        match self {
-            ReadReq { .. } => "ReadReq",
-            WriteReq { .. } => "WriteReq",
-            FwdRead { .. } => "FwdRead",
-            FwdWrite { .. } => "FwdWrite",
-            PageRead { .. } => "PageRead",
-            PageOwn { .. } => "PageOwn",
-            Inval { .. } => "Inval",
-            InvalAck { .. } => "InvalAck",
-            Confirm { .. } => "Confirm",
-            MigReq { .. } => "MigReq",
-            MigFwd { .. } => "MigFwd",
-            MigPage { .. } => "MigPage",
-            MigConfirm { .. } => "MigConfirm",
-            UpdWrite { .. } => "UpdWrite",
-            UpdApply { .. } => "UpdApply",
-            UpdAck { .. } => "UpdAck",
-            FetchReq { .. } => "FetchReq",
-            FetchRep { .. } => "FetchRep",
-            DiffFlush { .. } => "DiffFlush",
-            DiffApply { .. } => "DiffApply",
-            DiffApplyAck { .. } => "DiffApplyAck",
-            FlushAck { .. } => "FlushAck",
-            LrcDiffReq { .. } => "LrcDiffReq",
-            LrcDiffRep { .. } => "LrcDiffRep",
-            LrcPageReq { .. } => "LrcPageReq",
-            LrcPageRep { .. } => "LrcPageRep",
-            LrcFlush { .. } => "LrcFlush",
-            LrcFlushAck => "LrcFlushAck",
-            ScabdQ { .. } => "ScabdQ",
-            ScabdU { .. } => "ScabdU",
-            ScabdR { .. } => "ScabdR",
-            RdmaRead { .. } => "RdmaRead",
-            RdmaData { .. } => "RdmaData",
-            RdmaRecall { .. } => "RdmaRecall",
-            RdmaWriteBack { .. } => "RdmaWriteBack",
-            ObjReq { .. } => "ObjReq",
-            ObjFwd { .. } => "ObjFwd",
-            ObjData { .. } => "ObjData",
-            Batch(..) => "Batch",
-        }
-    }
-
-    fn kind_id(&self) -> KindId {
-        use ProtoMsg::*;
-        KindId(match self {
-            ReadReq { .. } => 0,
-            WriteReq { .. } => 1,
-            FwdRead { .. } => 2,
-            FwdWrite { .. } => 3,
-            PageRead { .. } => 4,
-            PageOwn { .. } => 5,
-            Inval { .. } => 6,
-            InvalAck { .. } => 7,
-            Confirm { .. } => 8,
-            MigReq { .. } => 9,
-            MigFwd { .. } => 10,
-            MigPage { .. } => 11,
-            MigConfirm { .. } => 12,
-            UpdWrite { .. } => 13,
-            UpdApply { .. } => 14,
-            UpdAck { .. } => 15,
-            FetchReq { .. } => 16,
-            FetchRep { .. } => 17,
-            DiffFlush { .. } => 18,
-            DiffApply { .. } => 19,
-            DiffApplyAck { .. } => 20,
-            FlushAck { .. } => 21,
-            LrcDiffReq { .. } => 22,
-            LrcDiffRep { .. } => 23,
-            LrcPageReq { .. } => 24,
-            LrcPageRep { .. } => 25,
-            Batch(..) => 26,
-            LrcFlush { .. } => 27,
-            LrcFlushAck => 28,
-            ScabdQ { .. } => 29,
-            ScabdU { .. } => 30,
-            ScabdR { .. } => 31,
-            // One-sided rdma kinds live in their own stats band (56–59)
-            // so NIC-path traffic is distinguishable from the 0–31
-            // coherence band in reports.
-            RdmaRead { .. } => 56,
-            RdmaData { .. } => 57,
-            RdmaRecall { .. } => 58,
-            RdmaWriteBack { .. } => 59,
-            // Object-granularity kinds live in the 60–62 band so E22
-            // can separate object traffic from page coherence.
-            ObjReq { .. } => 60,
-            ObjFwd { .. } => 61,
-            ObjData { .. } => 62,
-        })
-    }
-}
-
-/// Real wire encoding (socket backend): one tag byte per variant in
-/// declaration order, then the fields in declaration order using the
-/// [`Wire`] primitives. The modeled [`Payload::wire_bytes`] sizes above
-/// stay the accounting truth — this encoding is merely what physically
-/// crosses a UDP datagram, and it round-trips exactly (see
-/// `tests/wire_roundtrip.rs`).
-impl Wire for ProtoMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use ProtoMsg::*;
-        match self {
-            ReadReq { page } => {
-                out.push(0);
-                page.encode(out);
-            }
-            WriteReq { page } => {
-                out.push(1);
-                page.encode(out);
-            }
-            FwdRead { page, requester } => {
-                out.push(2);
-                page.encode(out);
-                requester.encode(out);
-            }
-            FwdWrite {
-                page,
-                requester,
-                ninval,
-            } => {
-                out.push(3);
-                page.encode(out);
-                requester.encode(out);
-                ninval.encode(out);
-            }
-            PageRead { page, data } => {
-                out.push(4);
-                page.encode(out);
-                data.encode(out);
-            }
-            PageOwn {
-                page,
-                data,
-                ninval,
-                copyset,
-            } => {
-                out.push(5);
-                page.encode(out);
-                data.encode(out);
-                ninval.encode(out);
-                copyset.encode(out);
-            }
-            Inval { page, new_owner } => {
-                out.push(6);
-                page.encode(out);
-                new_owner.encode(out);
-            }
-            InvalAck { page } => {
-                out.push(7);
-                page.encode(out);
-            }
-            Confirm { page, owner, write } => {
-                out.push(8);
-                page.encode(out);
-                owner.encode(out);
-                write.encode(out);
-            }
-            MigReq { page } => {
-                out.push(9);
-                page.encode(out);
-            }
-            MigFwd { page, requester } => {
-                out.push(10);
-                page.encode(out);
-                requester.encode(out);
-            }
-            MigPage { page, data } => {
-                out.push(11);
-                page.encode(out);
-                data.encode(out);
-            }
-            MigConfirm { page, holder } => {
-                out.push(12);
-                page.encode(out);
-                holder.encode(out);
-            }
-            UpdWrite { page, off, data } => {
-                out.push(13);
-                page.encode(out);
-                off.encode(out);
-                data.encode(out);
-            }
-            UpdApply {
-                page,
-                off,
-                data,
-                seq,
-            } => {
-                out.push(14);
-                page.encode(out);
-                off.encode(out);
-                data.encode(out);
-                seq.encode(out);
-            }
-            UpdAck { page } => {
-                out.push(15);
-                page.encode(out);
-            }
-            FetchReq { page } => {
-                out.push(16);
-                page.encode(out);
-            }
-            FetchRep { page, data, seq } => {
-                out.push(17);
-                page.encode(out);
-                data.encode(out);
-                seq.encode(out);
-            }
-            DiffFlush { flush, diffs } => {
-                out.push(18);
-                flush.encode(out);
-                diffs.encode(out);
-            }
-            DiffApply { flush, home, diffs } => {
-                out.push(19);
-                flush.encode(out);
-                home.encode(out);
-                diffs.encode(out);
-            }
-            DiffApplyAck { flush } => {
-                out.push(20);
-                flush.encode(out);
-            }
-            FlushAck { flush } => {
-                out.push(21);
-                flush.encode(out);
-            }
-            LrcDiffReq { page, ids } => {
-                out.push(22);
-                page.encode(out);
-                ids.encode(out);
-            }
-            LrcDiffRep { page, diffs } => {
-                out.push(23);
-                page.encode(out);
-                diffs.encode(out);
-            }
-            LrcPageReq { page, epoch } => {
-                out.push(24);
-                page.encode(out);
-                epoch.encode(out);
-            }
-            LrcPageRep { page, data } => {
-                out.push(25);
-                page.encode(out);
-                data.encode(out);
-            }
-            LrcFlush { diffs } => {
-                out.push(26);
-                diffs.encode(out);
-            }
-            LrcFlushAck => out.push(27),
-            ScabdQ { page, txn } => {
-                out.push(28);
-                page.encode(out);
-                txn.encode(out);
-            }
-            ScabdU {
-                page,
-                txn,
-                seq,
-                writer,
-                data,
-            } => {
-                out.push(29);
-                page.encode(out);
-                txn.encode(out);
-                seq.encode(out);
-                writer.encode(out);
-                data.encode(out);
-            }
-            ScabdR {
-                page,
-                txn,
-                seq,
-                writer,
-                data,
-            } => {
-                out.push(30);
-                page.encode(out);
-                txn.encode(out);
-                seq.encode(out);
-                writer.encode(out);
-                data.encode(out);
-            }
-            RdmaRead { pages } => {
-                out.push(31);
-                pages.encode(out);
-            }
-            RdmaData { pages } => {
-                out.push(32);
-                pages.encode(out);
-            }
-            RdmaRecall {
-                page,
-                requester,
-                write,
-            } => {
-                out.push(33);
-                page.encode(out);
-                requester.encode(out);
-                write.encode(out);
-            }
-            RdmaWriteBack { page, data } => {
-                out.push(34);
-                page.encode(out);
-                data.encode(out);
-            }
-            ObjReq { obj, write } => {
-                out.push(35);
-                obj.encode(out);
-                write.encode(out);
-            }
-            ObjFwd {
-                obj,
-                requester,
-                write,
-            } => {
-                out.push(36);
-                obj.encode(out);
-                requester.encode(out);
-                write.encode(out);
-            }
-            ObjData { obj, data, write } => {
-                out.push(37);
-                obj.encode(out);
-                data.encode(out);
-                write.encode(out);
-            }
-            Batch(msgs) => {
-                out.push(38);
-                msgs.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        use ProtoMsg::*;
-        Some(match r.u8()? {
-            0 => ReadReq {
-                page: usize::decode(r)?,
-            },
-            1 => WriteReq {
-                page: usize::decode(r)?,
-            },
-            2 => FwdRead {
-                page: usize::decode(r)?,
-                requester: NodeId::decode(r)?,
-            },
-            3 => FwdWrite {
-                page: usize::decode(r)?,
-                requester: NodeId::decode(r)?,
-                ninval: r.u32()?,
-            },
-            4 => PageRead {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-            },
-            5 => PageOwn {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-                ninval: r.u32()?,
-                copyset: Wire::decode(r)?,
-            },
-            6 => Inval {
-                page: usize::decode(r)?,
-                new_owner: NodeId::decode(r)?,
-            },
-            7 => InvalAck {
-                page: usize::decode(r)?,
-            },
-            8 => Confirm {
-                page: usize::decode(r)?,
-                owner: NodeId::decode(r)?,
-                write: bool::decode(r)?,
-            },
-            9 => MigReq {
-                page: usize::decode(r)?,
-            },
-            10 => MigFwd {
-                page: usize::decode(r)?,
-                requester: NodeId::decode(r)?,
-            },
-            11 => MigPage {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-            },
-            12 => MigConfirm {
-                page: usize::decode(r)?,
-                holder: NodeId::decode(r)?,
-            },
-            13 => UpdWrite {
-                page: usize::decode(r)?,
-                off: r.u32()?,
-                data: Wire::decode(r)?,
-            },
-            14 => UpdApply {
-                page: usize::decode(r)?,
-                off: r.u32()?,
-                data: Wire::decode(r)?,
-                seq: r.u64()?,
-            },
-            15 => UpdAck {
-                page: usize::decode(r)?,
-            },
-            16 => FetchReq {
-                page: usize::decode(r)?,
-            },
-            17 => FetchRep {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-                seq: r.u64()?,
-            },
-            18 => DiffFlush {
-                flush: r.u64()?,
-                diffs: Wire::decode(r)?,
-            },
-            19 => DiffApply {
-                flush: r.u64()?,
-                home: NodeId::decode(r)?,
-                diffs: Wire::decode(r)?,
-            },
-            20 => DiffApplyAck { flush: r.u64()? },
-            21 => FlushAck { flush: r.u64()? },
-            22 => LrcDiffReq {
-                page: usize::decode(r)?,
-                ids: Wire::decode(r)?,
-            },
-            23 => LrcDiffRep {
-                page: usize::decode(r)?,
-                diffs: Wire::decode(r)?,
-            },
-            24 => LrcPageReq {
-                page: usize::decode(r)?,
-                epoch: r.u64()?,
-            },
-            25 => LrcPageRep {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-            },
-            26 => LrcFlush {
-                diffs: Wire::decode(r)?,
-            },
-            27 => LrcFlushAck,
-            28 => ScabdQ {
-                page: usize::decode(r)?,
-                txn: r.u64()?,
-            },
-            29 => ScabdU {
-                page: usize::decode(r)?,
-                txn: r.u64()?,
-                seq: r.u64()?,
-                writer: r.u32()?,
-                data: Wire::decode(r)?,
-            },
-            30 => ScabdR {
-                page: usize::decode(r)?,
-                txn: r.u64()?,
-                seq: r.u64()?,
-                writer: r.u32()?,
-                data: Wire::decode(r)?,
-            },
-            31 => RdmaRead {
-                pages: Wire::decode(r)?,
-            },
-            32 => RdmaData {
-                pages: Wire::decode(r)?,
-            },
-            33 => RdmaRecall {
-                page: usize::decode(r)?,
-                requester: NodeId::decode(r)?,
-                write: bool::decode(r)?,
-            },
-            34 => RdmaWriteBack {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-            },
-            35 => ObjReq {
-                obj: r.u32()?,
-                write: bool::decode(r)?,
-            },
-            36 => ObjFwd {
-                obj: r.u32()?,
-                requester: NodeId::decode(r)?,
-                write: bool::decode(r)?,
-            },
-            37 => ObjData {
-                obj: r.u32()?,
-                data: Wire::decode(r)?,
-                write: bool::decode(r)?,
-            },
-            38 => Batch(Wire::decode(r)?),
-            _ => return None,
-        })
+        // ---- multi-page envelope ----
+        /// Several coherence messages for the same destination in one
+        /// network message (batched fault pipeline). The envelope pays
+        /// one per-message software overhead + header where its
+        /// contents would have paid N; its body is priced as the sum of
+        /// the inner bodies. Only ever built with ≥ 2 inner messages —
+        /// single messages travel bare, so depth-1 runs are
+        /// byte-identical to unbatched ones.
+        Batch(msgs: Vec<ProtoMsg>) = 26 => msgs.iter().map(|m| m.wire_bytes()).sum(),
     }
 }
 
@@ -844,158 +222,108 @@ impl Wire for ProtoMsg {
 /// relative to the region start.
 pub type EntryUpdateLog = Vec<(u64, Vec<(u32, PageDiff)>)>;
 
-/// Consistency payload piggybacked on synchronization messages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Piggy {
-    /// No consistency information.
-    None,
-    /// Acquirer's vector clock, delta-encoded against its barrier
-    /// floor (LRC lock requests — lets the granter send only the
-    /// missing intervals).
-    LrcClock(VClockDelta),
-    /// Interval records the receiver is missing (LRC grants, barrier
-    /// payloads), clocks delta-encoded against the sender's floor.
-    LrcIntervals(Vec<WireIntervalRecord>),
-    /// LRC barrier arrival: the arriver's clock plus the records it
-    /// authored since the last barrier. Without GC the root computes
-    /// each node's missing set from these; with GC it additionally
-    /// derives the epoch's causal diff order (the diff *bytes* traveled
-    /// point-to-point to their homes as [`ProtoMsg::LrcFlush`] before
-    /// this arrival — the barrier carries metadata only).
-    LrcBarrier {
-        vt: VClockDelta,
-        records: Vec<WireIntervalRecord>,
-    },
-    /// LRC barrier release with interval GC: the global clock (the new
-    /// fleet-wide floor), the causally-ordered interval-id lists for
-    /// pages the receiver homes (the home substitutes each id's diff
-    /// from its own retained cache or its buffered epoch flushes — no
-    /// bytes travel here), and compacted per-page invalidation notices
-    /// (one entry per page written this epoch, not one per interval)
-    /// for stale copies the receiver must drop.
-    LrcEpoch {
-        vt: VClockDelta,
-        homed: Vec<(usize, Vec<IntervalId>)>,
-        invals: Vec<usize>,
-    },
-    /// Entry-consistency lock request info: the highest update version
-    /// the acquirer has applied for this lock's regions.
-    EntryVer(u64),
-    /// Entry-consistency grant: the guarded regions' update log entries
-    /// the acquirer is missing. Each entry is (version, changes), each
-    /// change a region index + byte-run diff relative to the region
-    /// start — only dirty data travels, as in Midway.
-    EntryLog(EntryUpdateLog),
-    /// Entry-consistency barrier arrival: page diffs of everything this
-    /// node wrote (outside guarded regions) since the last barrier,
-    /// plus, per lock, its current version and the log entries created
-    /// since the last barrier — barriers synchronize guarded data too.
-    EntryArrive {
-        diffs: Vec<(usize, PageDiff)>,
-        locks: Vec<(u32, u64, EntryUpdateLog)>,
-    },
-    /// Entry-consistency barrier release: merged images of every page
-    /// dirtied across the barrier, plus per-lock log entries the
-    /// receiver is missing.
-    EntryRelease {
-        pages: Vec<(usize, Box<[u8]>)>,
-        locks: Vec<(u32, EntryUpdateLog)>,
-    },
-    /// Object-granularity wrapper around the page-level piggy: `ver` is
-    /// the sender's object-update version for the lock (on requests,
-    /// the acquirer's applied version), `objs` the latest images of
-    /// objects dirtied under the lock at versions the receiver lacks
-    /// (`(object id, version, image)`), and `inner` the embedded
-    /// entry-consistency payload for page-level data.
-    Obj {
-        ver: u64,
-        objs: Vec<(u32, u64, Box<[u8]>)>,
-        inner: Box<Piggy>,
-    },
+wire_enum! {
+    /// Consistency payload piggybacked on synchronization messages.
+    /// Its kind ids are wire tags only: a piggyback is never a message
+    /// of its own, so they never reach the traffic statistics.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Piggy {
+        /// No consistency information.
+        None = 0 => 0,
+        /// Acquirer's vector clock, delta-encoded against its barrier
+        /// floor (LRC lock requests — lets the granter send only the
+        /// missing intervals).
+        LrcClock(vc: VClockDelta) = 1 => vc.wire_bytes(),
+        /// Interval records the receiver is missing (LRC grants,
+        /// barrier payloads), clocks delta-encoded against the sender's
+        /// floor.
+        LrcIntervals(recs: Vec<WireIntervalRecord>) = 2 => {
+            recs.iter().map(|r| r.wire_bytes()).sum::<usize>()
+        },
+        /// LRC barrier arrival: the arriver's clock plus the records it
+        /// authored since the last barrier. Without GC the root
+        /// computes each node's missing set from these; with GC it
+        /// additionally derives the epoch's causal diff order (the diff
+        /// *bytes* traveled point-to-point to their homes as
+        /// [`ProtoMsg::LrcFlush`] before this arrival — the barrier
+        /// carries metadata only).
+        LrcBarrier {
+            vt: VClockDelta,
+            records: Vec<WireIntervalRecord>,
+        } = 3 => vt.wire_bytes() + records.iter().map(|r| r.wire_bytes()).sum::<usize>(),
+        /// LRC barrier release with interval GC: the global clock (the
+        /// new fleet-wide floor), the causally-ordered interval-id
+        /// lists for pages the receiver homes (the home substitutes
+        /// each id's diff from its own retained cache or its buffered
+        /// epoch flushes — no bytes travel here), and compacted
+        /// per-page invalidation notices (one entry per page written
+        /// this epoch, not one per interval) for stale copies the
+        /// receiver must drop.
+        LrcEpoch {
+            vt: VClockDelta,
+            homed: Vec<(usize, Vec<IntervalId>)>,
+            invals: Vec<usize>,
+        } = 4 => {
+            vt.wire_bytes()
+                + homed.iter().map(|(_, ids)| 8 + ids.len() * 8).sum::<usize>()
+                + invals.len() * 4
+        },
+        /// Entry-consistency lock request info: the highest update
+        /// version the acquirer has applied for this lock's regions.
+        EntryVer(ver: u64) = 5 => 8,
+        /// Entry-consistency grant: the guarded regions' update log
+        /// entries the acquirer is missing. Each entry is (version,
+        /// changes), each change a region index + byte-run diff
+        /// relative to the region start — only dirty data travels, as
+        /// in Midway.
+        EntryLog(entries: EntryUpdateLog) = 6 => log_bytes(entries),
+        /// Entry-consistency barrier arrival: page diffs of everything
+        /// this node wrote (outside guarded regions) since the last
+        /// barrier, plus, per lock, its current version and the log
+        /// entries created since the last barrier — barriers
+        /// synchronize guarded data too.
+        EntryArrive {
+            diffs: Vec<(usize, PageDiff)>,
+            locks: Vec<(u32, u64, EntryUpdateLog)>,
+        } = 7 => {
+            diffs.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>()
+                + locks.iter().map(|(_, _, es)| 16 + log_bytes(es)).sum::<usize>()
+        },
+        /// Entry-consistency barrier release: merged images of every
+        /// page dirtied across the barrier, plus per-lock log entries
+        /// the receiver is missing.
+        EntryRelease {
+            pages: Vec<(usize, Box<[u8]>)>,
+            locks: Vec<(u32, EntryUpdateLog)>,
+        } = 8 => {
+            pages.iter().map(|(_, b)| 8 + b.len()).sum::<usize>()
+                + locks.iter().map(|(_, es)| 8 + log_bytes(es)).sum::<usize>()
+        },
+        /// Object-granularity wrapper around the page-level piggy:
+        /// `ver` is the sender's object-update version for the lock (on
+        /// requests, the acquirer's applied version), `objs` the latest
+        /// images of objects dirtied under the lock at versions the
+        /// receiver lacks (`(object id, version, image)`), and `inner`
+        /// the embedded entry-consistency payload for page-level data.
+        Obj {
+            ver: u64,
+            objs: Vec<(u32, u64, Box<[u8]>)>,
+            inner: Box<Piggy>,
+        } = 9 => 8 + objs.iter().map(|(_, _, b)| 12 + b.len()).sum::<usize>() + inner.wire_bytes(),
+    }
 }
 
-impl Wire for Piggy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Piggy::None => out.push(0),
-            Piggy::LrcClock(vc) => {
-                out.push(1);
-                vc.encode(out);
-            }
-            Piggy::LrcIntervals(recs) => {
-                out.push(2);
-                recs.encode(out);
-            }
-            Piggy::LrcBarrier { vt, records } => {
-                out.push(3);
-                vt.encode(out);
-                records.encode(out);
-            }
-            Piggy::LrcEpoch { vt, homed, invals } => {
-                out.push(4);
-                vt.encode(out);
-                homed.encode(out);
-                invals.encode(out);
-            }
-            Piggy::EntryVer(v) => {
-                out.push(5);
-                v.encode(out);
-            }
-            Piggy::EntryLog(entries) => {
-                out.push(6);
-                entries.encode(out);
-            }
-            Piggy::EntryArrive { diffs, locks } => {
-                out.push(7);
-                diffs.encode(out);
-                locks.encode(out);
-            }
-            Piggy::EntryRelease { pages, locks } => {
-                out.push(8);
-                pages.encode(out);
-                locks.encode(out);
-            }
-            Piggy::Obj { ver, objs, inner } => {
-                out.push(9);
-                ver.encode(out);
-                objs.encode(out);
-                inner.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => Piggy::None,
-            1 => Piggy::LrcClock(Wire::decode(r)?),
-            2 => Piggy::LrcIntervals(Wire::decode(r)?),
-            3 => Piggy::LrcBarrier {
-                vt: Wire::decode(r)?,
-                records: Wire::decode(r)?,
-            },
-            4 => Piggy::LrcEpoch {
-                vt: Wire::decode(r)?,
-                homed: Wire::decode(r)?,
-                invals: Wire::decode(r)?,
-            },
-            5 => Piggy::EntryVer(r.u64()?),
-            6 => Piggy::EntryLog(Wire::decode(r)?),
-            7 => Piggy::EntryArrive {
-                diffs: Wire::decode(r)?,
-                locks: Wire::decode(r)?,
-            },
-            8 => Piggy::EntryRelease {
-                pages: Wire::decode(r)?,
-                locks: Wire::decode(r)?,
-            },
-            9 => Piggy::Obj {
-                ver: r.u64()?,
-                objs: Wire::decode(r)?,
-                inner: Box::new(Piggy::decode(r)?),
-            },
-            _ => return None,
+/// Modeled size of an entry-consistency update log: 12 bytes per entry
+/// plus 8 per change on top of its diff.
+fn log_bytes(log: &EntryUpdateLog) -> usize {
+    log.iter()
+        .map(|(_, changes)| {
+            12 + changes
+                .iter()
+                .map(|(_, d)| 8 + d.wire_bytes())
+                .sum::<usize>()
         })
-    }
+        .sum()
 }
 
 impl SyncPiggy for Piggy {
@@ -1004,70 +332,14 @@ impl SyncPiggy for Piggy {
     }
 
     fn wire_bytes(&self) -> usize {
-        match self {
-            Piggy::None => 0,
-            Piggy::LrcClock(vc) => vc.wire_bytes(),
-            Piggy::LrcIntervals(recs) => recs.iter().map(|r| r.wire_bytes()).sum::<usize>(),
-            Piggy::LrcBarrier { vt, records } => {
-                vt.wire_bytes() + records.iter().map(|r| r.wire_bytes()).sum::<usize>()
-            }
-            Piggy::LrcEpoch { vt, homed, invals } => {
-                vt.wire_bytes()
-                    + homed
-                        .iter()
-                        .map(|(_, ids)| 8 + ids.len() * 8)
-                        .sum::<usize>()
-                    + invals.len() * 4
-            }
-            Piggy::EntryVer(_) => 8,
-            Piggy::EntryLog(entries) => entries
-                .iter()
-                .map(|(_, changes)| {
-                    12 + changes
-                        .iter()
-                        .map(|(_, d)| 8 + d.wire_bytes())
-                        .sum::<usize>()
-                })
-                .sum::<usize>(),
-            Piggy::EntryArrive { diffs, locks } => {
-                diffs.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>()
-                    + locks
-                        .iter()
-                        .map(|(_, _, es)| {
-                            16 + es
-                                .iter()
-                                .map(|(_, ch)| {
-                                    12 + ch.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>()
-                                })
-                                .sum::<usize>()
-                        })
-                        .sum::<usize>()
-            }
-            Piggy::EntryRelease { pages, locks } => {
-                pages.iter().map(|(_, b)| 8 + b.len()).sum::<usize>()
-                    + locks
-                        .iter()
-                        .map(|(_, es)| {
-                            8 + es
-                                .iter()
-                                .map(|(_, ch)| {
-                                    12 + ch.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>()
-                                })
-                                .sum::<usize>()
-                        })
-                        .sum::<usize>()
-            }
-            Piggy::Obj { objs, inner, .. } => {
-                8 + objs.iter().map(|(_, _, b)| 12 + b.len()).sum::<usize>()
-                    + SyncPiggy::wire_bytes(inner.as_ref())
-            }
-        }
+        Piggy::wire_bytes(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_net::KindId;
 
     #[test]
     fn page_messages_cost_their_payload() {
@@ -1076,7 +348,7 @@ mod tests {
             data: vec![0u8; 4096].into_boxed_slice(),
         };
         assert_eq!(m.wire_bytes(), 8 + 4096);
-        assert_eq!(m.kind(), "PageRead");
+        assert_eq!(m.kind().name, "PageRead");
     }
 
     #[test]
@@ -1110,21 +382,21 @@ mod tests {
             },
         ]);
         assert_eq!(m.wire_bytes(), 8 + 8 + 12);
-        assert_eq!(m.kind(), "Batch");
-        assert_eq!(m.kind_id(), KindId(26));
+        assert_eq!(m.kind().name, "Batch");
+        assert_eq!(m.kind().id, KindId(26));
     }
 
     #[test]
     fn rdma_messages_cost_doorbell_plus_payload() {
         let m = ProtoMsg::RdmaRead { pages: vec![1, 2] };
         assert_eq!(m.wire_bytes(), 8 + 16);
-        assert_eq!(m.kind_id(), KindId(56));
+        assert_eq!(m.kind().id, KindId(56));
         let m = ProtoMsg::RdmaData {
             pages: vec![(1, Some(vec![0u8; 4096].into_boxed_slice())), (2, None)],
         };
         // A served page costs its bytes; a NACK costs only the entry.
         assert_eq!(m.wire_bytes(), 8 + (12 + 4096) + 12);
-        assert_eq!(m.kind(), "RdmaData");
+        assert_eq!(m.kind().name, "RdmaData");
     }
 
     #[test]
@@ -1152,7 +424,7 @@ mod tests {
             write: true,
         };
         assert_eq!(m.wire_bytes(), 9 + 64);
-        assert_eq!(m.kind_id(), KindId(62));
+        assert_eq!(m.kind().id, KindId(62));
         // A recall names its page, the forwarded requester, and the
         // write intent.
         let m = ProtoMsg::RdmaRecall {

@@ -33,7 +33,7 @@ impl ProtoIo for FakeIo {
         self.n
     }
     fn send(&mut self, dst: NodeId, msg: ProtoMsg) {
-        self.sent.push((dst, dsm_net::Payload::kind(&msg)));
+        self.sent.push((dst, msg.kind().name));
     }
     fn model(&self) -> &CostModel {
         &self.model

@@ -364,10 +364,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
                 self.reset(id);
                 events.push(BarrierEvent::Released { id, piggy });
             }
-            other => {
-                let k = dsm_net::Payload::kind(&other);
-                panic!("barrier engine got unexpected message {k}");
-            }
+            other => panic!("barrier engine got unexpected message {}", other.kind()),
         }
     }
 

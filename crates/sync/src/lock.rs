@@ -407,7 +407,7 @@ impl<P: SyncPiggy> LockEngine<P> {
             (kind, other) => {
                 panic!(
                     "lock engine ({kind:?}) got unexpected message {}",
-                    payload_kind(&other)
+                    other.kind()
                 );
             }
         }
@@ -417,11 +417,6 @@ impl<P: SyncPiggy> LockEngine<P> {
     pub fn holds(&self, lock: LockId) -> bool {
         self.locks.get(&lock).is_some_and(|s| s.holding)
     }
-}
-
-fn payload_kind<P: SyncPiggy>(m: &SyncMsg<P>) -> &'static str {
-    use dsm_net::Payload;
-    m.kind()
 }
 
 #[cfg(test)]
